@@ -82,23 +82,10 @@ func (e *Engine) QueryBatchStream(ctx context.Context, queries []Query, k int, m
 					qi := qi
 					perQuery = func(a Answer) bool { return emit(qi, a) }
 				}
-				results[qi].Result, results[qi].Err = e.queryOne(ctx, queries[qi], k, mode, perQuery)
+				results[qi].Result, results[qi].Err = e.QueryStream(ctx, queries[qi], k, mode, perQuery)
 			}
 		}()
 	}
 	wg.Wait()
 	return results, nil
-}
-
-// queryOne executes a single query for QueryBatchStream. ModeSpecQP goes
-// through the plan cache; the other modes have no planning stage to share and
-// delegate to QueryStream.
-func (e *Engine) queryOne(ctx context.Context, q Query, k int, mode Mode, emit AnswerEmitter) (Result, error) {
-	if len(q.Patterns) == 0 {
-		return Result{}, fmt.Errorf("specqp: empty query")
-	}
-	if mode != ModeSpecQP {
-		return e.QueryStream(ctx, q, k, mode, emit)
-	}
-	return e.exec.SpecQPContextStream(ctx, e.livePlans(), q, k, emit)
 }

@@ -271,8 +271,8 @@ func BenchmarkAblationSelectivity(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRankJoin compares the HRJN hash rank join against the
-// nested-loops NRJN variant on a two-pattern join.
+// BenchmarkAblationRankJoin measures the HRJN hash rank join on a
+// two-pattern join.
 func BenchmarkAblationRankJoin(b *testing.B) {
 	xkg, _ := benchDatasets(b)
 	// Pick the first 2-pattern query.
@@ -297,14 +297,6 @@ func BenchmarkAblationRankJoin(b *testing.B) {
 			r := operators.NewListScan(xkg.Store, vs, q.Patterns[1], 1, 0, nil)
 			rj := operators.NewRankJoin(l, r, jv, nil)
 			operators.DrainK(rj, 10)
-		}
-	})
-	b.Run("NRJN", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			l := operators.NewListScan(xkg.Store, vs, q.Patterns[0], 1, 0, nil)
-			r := operators.NewListScan(xkg.Store, vs, q.Patterns[1], 1, 0, nil)
-			nj := operators.NewNRJN(l, r, jv, nil)
-			operators.DrainK(nj, 10)
 		}
 	})
 }

@@ -234,10 +234,9 @@ func writeCSVs(dir, name string, outs []harness.Outcome) error {
 // sequential Engine.Query and through Engine.QueryBatch with the given
 // worker count, printing wall-clock times and the resulting speedup. A
 // warm-up pass down each path first fills the store's match-list caches,
-// the statistics catalog and QueryBatch's plan cache (sequential Query has
-// no plan cache and replans every time), so the measured gap is what the
-// batch API actually buys: execution concurrency plus per-shape plan
-// amortisation.
+// the statistics catalog and the engine's plan cache (sequential Query and
+// QueryBatch plan through the same one), so the measured gap is what the
+// batch API actually buys: execution concurrency.
 // runShardedComparison times the dataset's query workload sequentially over
 // the flat layout and over a sharded engine (parallel per-shard merge scans
 // plus concurrent join legs), printing the per-query wall-clock speedup.
@@ -766,7 +765,7 @@ func runBatchComparison(ds *datagen.Dataset, workers, shards int) error {
 	if _, err := runSeq(); err != nil { // warm match-list caches and the statistics catalog
 		return err
 	}
-	if _, err := runBatch(); err != nil { // warm the batch path's plan cache
+	if _, err := runBatch(); err != nil { // warm the batch path
 		return err
 	}
 	seq, err := runSeq()

@@ -196,6 +196,7 @@ func (ex *Executor) Run(p planner.Plan) Result {
 	// send for the process lifetime.
 	defer stop()
 	entries := operators.DrainK(root, p.K)
+	operators.Release(root)
 	elapsed := time.Since(start)
 
 	answers := make([]kg.Answer, len(entries))

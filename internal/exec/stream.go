@@ -96,6 +96,7 @@ func (ex *Executor) runContextStream(ctx context.Context, p planner.Plan, emit A
 			Root:          operators.TraceTree(root),
 		}
 	}
+	operators.Release(root)
 	return res, err
 }
 

@@ -141,13 +141,3 @@ func equalIDs(a []ID, b []ID) bool {
 	}
 	return true
 }
-
-// Reset discards all interned identities while keeping the arena and table
-// capacity, so a resettable operator's steady state stays allocation-free.
-// Keys issued before Reset must not be compared with keys issued after.
-func (k *Keyer) Reset() {
-	k.arena = k.arena[:0]
-	for h, bucket := range k.table {
-		k.table[h] = bucket[:0]
-	}
-}

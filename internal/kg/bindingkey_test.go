@@ -79,23 +79,6 @@ func TestKeyerProjection(t *testing.T) {
 	}
 }
 
-func TestKeyerReset(t *testing.T) {
-	k := NewKeyer()
-	wide := Binding{1, 2, 3}
-	k1 := k.Key(wide)
-	k.Reset()
-	k2 := k.Key(wide)
-	// After Reset identities restart from zero; the first interned tuple
-	// gets the same dense id again.
-	if k1 != k2 {
-		t.Fatalf("first post-reset key: got %d want %d", k2, k1)
-	}
-	k.Key(Binding{4, 5, 6})
-	if k.Key(wide) != k2 {
-		t.Fatal("re-keying after reset drifted")
-	}
-}
-
 // TestKeyerMatchesStringKeyOracle cross-checks Keyer equality classes
 // against Binding.Key() on random bindings, packed and interned widths.
 func TestKeyerMatchesStringKeyOracle(t *testing.T) {

@@ -96,25 +96,3 @@ func TestIncrementalMergeAbortBoundsPulls(t *testing.T) {
 		t.Fatalf("aborted merge pulled %d inputs", got)
 	}
 }
-
-func TestNRJNAbortTerminates(t *testing.T) {
-	const n = 50 * AbortStride
-	outer, _ := bigSides(n)
-	es := make([]Entry, n)
-	for i := 0; i < n; i++ {
-		b := kg.NewBinding(1)
-		b[0] = kg.ID(i)
-		es[i] = Entry{Binding: b, Score: float64(2*n - i)}
-	}
-	inner := &sliceStream{entries: es}
-	c := &Counter{}
-	c.SetAbort(func() bool { return true })
-	nj := NewNRJN(outer, inner, []int{0}, c)
-	out := Drain(nj)
-	if len(out) > AbortStride {
-		t.Fatalf("aborted NRJN emitted %d results", len(out))
-	}
-	if _, ok := nj.Next(); ok {
-		t.Fatal("aborted NRJN produced another entry")
-	}
-}

@@ -62,9 +62,3 @@ func (s *AnswerScan) Next() (Entry, bool) {
 	}
 	return Entry{Binding: a.Binding, Score: score, Relaxed: s.mask | a.Relaxed}, true
 }
-
-// Reset implements Resettable.
-func (s *AnswerScan) Reset() {
-	s.pos = 0
-	s.last = s.top
-}

@@ -50,19 +50,6 @@ func TestAnswerScanEmpty(t *testing.T) {
 	}
 }
 
-func TestAnswerScanReset(t *testing.T) {
-	s := NewAnswerScan(answers(0.9, 0.4), 1, 0, nil)
-	first := Drain(s)
-	s.Reset()
-	second := Drain(s)
-	if len(first) != 2 || len(second) != 2 {
-		t.Fatalf("reset: %d then %d", len(first), len(second))
-	}
-	if s.Bound() != 0 {
-		t.Fatal("bound after re-drain")
-	}
-}
-
 func TestAnswerScanCounter(t *testing.T) {
 	c := &Counter{}
 	Drain(NewAnswerScan(answers(1, 0.5, 0.25), 1, 0, c))

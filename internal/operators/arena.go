@@ -9,12 +9,11 @@ const arenaChunkEntries = 256
 
 // bindingArena hands out Binding clones backed by shared slabs, replacing
 // the per-emitted-entry heap allocation with one allocation per
-// arenaChunkEntries entries — and zero after reset, which reuses slabs.
-// Bindings returned by clone are invalidated by reset; only resettable
-// operators reset, and Resettable documents that Reset invalidates
-// previously returned entries.
+// arenaChunkEntries entries. Arenas are never rewound or recycled: the
+// bindings they hand out flow into query answers, which outlive the
+// operator tree.
 type bindingArena struct {
-	chunks [][]kg.ID // every slab ever allocated, reused across resets
+	chunks [][]kg.ID // every slab allocated so far
 	ci     int       // slab currently being filled
 	off    int       // filled prefix of chunks[ci]
 }
@@ -53,10 +52,6 @@ func (a *bindingArena) merge(l, r kg.Binding) kg.Binding {
 	}
 	return m
 }
-
-// reset rewinds the arena, invalidating every binding it handed out but
-// keeping the slabs for reuse.
-func (a *bindingArena) reset() { a.ci, a.off = 0, 0 }
 
 // bytes reports the arena's total slab footprint — the traced execution's
 // arena-bytes statistic. Only the owning operator's goroutine calls it.

@@ -136,16 +136,6 @@ type Stream interface {
 	Bound() float64
 }
 
-// Resettable is implemented by streams that can restart from the beginning,
-// enabling the nested-loops rank join variant. Reset may invalidate entries
-// previously returned by Next: stream bindings are slab-arena-backed and the
-// next pass reuses the slabs, so callers must copy (e.g. via Binding.Merge)
-// anything they keep across a Reset.
-type Resettable interface {
-	Stream
-	Reset()
-}
-
 // Drain exhausts a stream and returns all entries (testing helper and naive
 // execution path).
 func Drain(s Stream) []Entry {

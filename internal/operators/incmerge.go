@@ -1,8 +1,6 @@
 package operators
 
 import (
-	"fmt"
-
 	"specqp/internal/kg"
 	"specqp/internal/trace"
 )
@@ -20,22 +18,17 @@ import (
 // kg.BindingKeys) and the head heap is hand-rolled, so steady-state merging
 // allocates nothing beyond what the inputs themselves produce.
 type IncrementalMerge struct {
-	inputs []Stream
-	// nonResettable is the index of the first input that does not implement
-	// Resettable, or -1 when every input does (the invariant Reset needs).
-	// It is established at construction so a Reset on an unresettable merge
-	// fails with a diagnostic instead of a bare type-assertion panic.
-	nonResettable int
-	heads         []mergeHead
-	seen          map[kg.BindingKey]bool
-	keyer         *kg.Keyer
-	counter       *Counter
-	pulls         int  // input pulls since the last abort poll
-	aborted       bool // sticky: once aborted, the stream stays exhausted
-	top           float64
-	last          float64
-	primed        bool
-	stats         *trace.Node // nil unless the execution is traced
+	inputs  []Stream
+	heads   []mergeHead
+	seen    keySet
+	keyer   *kg.Keyer
+	counter *Counter
+	pulls   int  // input pulls since the last abort poll
+	aborted bool // sticky: once aborted, the stream stays exhausted
+	top     float64
+	last    float64
+	primed  bool
+	stats   *trace.Node // nil unless the execution is traced
 }
 
 type mergeHead struct {
@@ -56,17 +49,9 @@ func (h mergeHead) heapLess(o mergeHead) bool {
 // counter records merged-entry creations.
 func NewIncrementalMerge(inputs []Stream, c *Counter) *IncrementalMerge {
 	m := &IncrementalMerge{
-		inputs:        inputs,
-		nonResettable: -1,
-		seen:          make(map[kg.BindingKey]bool),
-		keyer:         kg.NewKeyer(),
-		counter:       c,
-	}
-	for i, in := range inputs {
-		if _, ok := in.(Resettable); !ok {
-			m.nonResettable = i
-			break
-		}
+		inputs:  inputs,
+		keyer:   kg.NewKeyer(),
+		counter: c,
 	}
 	if c.Tracing() {
 		m.stats = trace.NewNode("IncrementalMerge")
@@ -132,12 +117,10 @@ func (m *IncrementalMerge) Next() (Entry, bool) {
 		} else {
 			heapPop(&m.heads)
 		}
-		key := m.keyer.Key(h.entry.Binding)
-		if m.seen[key] {
+		if !m.seen.add(m.keyer.Key(h.entry.Binding)) {
 			m.stats.DedupDrop()
 			continue
 		}
-		m.seen[key] = true
 		m.last = h.entry.Score
 		m.counter.Inc()
 		if m.stats != nil {
@@ -148,28 +131,4 @@ func (m *IncrementalMerge) Next() (Entry, bool) {
 	}
 	m.last = 0
 	return Entry{}, false
-}
-
-// CanReset reports whether every input implements Resettable — the
-// precondition of Reset.
-func (m *IncrementalMerge) CanReset() bool { return m.nonResettable < 0 }
-
-// Reset implements Resettable when every input does; check CanReset before
-// calling on merges built over arbitrary streams. Calling Reset on a merge
-// with a non-resettable input panics with a diagnostic identifying the
-// input, rather than an opaque type-assertion failure mid-restart.
-func (m *IncrementalMerge) Reset() {
-	if m.nonResettable >= 0 {
-		panic(fmt.Sprintf(
-			"operators: IncrementalMerge.Reset: input %d (%T) does not implement Resettable; the merge is resettable only when every input is",
-			m.nonResettable, m.inputs[m.nonResettable]))
-	}
-	for _, in := range m.inputs {
-		in.(Resettable).Reset()
-	}
-	m.heads = m.heads[:0]
-	clear(m.seen)
-	m.keyer.Reset()
-	m.primed = false
-	m.last = 0
 }

@@ -3,7 +3,6 @@ package operators
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"specqp/internal/kg"
@@ -51,8 +50,6 @@ func (s *sliceStream) Bound() float64 {
 	}
 	return s.entries[s.pos-1].Score
 }
-
-func (s *sliceStream) Reset() { s.pos = 0 }
 
 func TestIncrementalMergeGlobalOrder(t *testing.T) {
 	a := newSliceStream([]float64{1.0, 0.5, 0.1}, 0, 0, 1)
@@ -147,64 +144,6 @@ func TestIncrementalMergeLazyConsumption(t *testing.T) {
 	if weak.pos > 1 {
 		t.Fatalf("weak stream over-consumed: pos=%d", weak.pos)
 	}
-}
-
-func TestIncrementalMergeReset(t *testing.T) {
-	a := newSliceStream([]float64{1.0, 0.5}, 0, 0, 1)
-	b := newSliceStream([]float64{0.8}, 100, 0, 1)
-	m := NewIncrementalMerge([]Stream{a, b}, nil)
-	first := Drain(m)
-	m.Reset()
-	second := Drain(m)
-	if len(first) != len(second) {
-		t.Fatalf("reset: %d vs %d entries", len(first), len(second))
-	}
-	for i := range first {
-		if first[i].Score != second[i].Score {
-			t.Fatal("reset changed order")
-		}
-	}
-}
-
-// nonResettableStream is a Stream that deliberately lacks Reset.
-type nonResettableStream struct{ inner *sliceStream }
-
-func (s *nonResettableStream) Next() (Entry, bool) { return s.inner.Next() }
-func (s *nonResettableStream) TopScore() float64   { return s.inner.TopScore() }
-func (s *nonResettableStream) Bound() float64      { return s.inner.Bound() }
-
-// TestIncrementalMergeResetInvariant pins the constructor-established Reset
-// contract: CanReset reflects whether every input is Resettable, and Reset
-// on a merge with a non-resettable input fails with a diagnostic that names
-// the offending input instead of an opaque interface-conversion panic.
-func TestIncrementalMergeResetInvariant(t *testing.T) {
-	ok := NewIncrementalMerge([]Stream{
-		newSliceStream([]float64{1.0}, 0, 0, 1),
-		newSliceStream([]float64{0.5}, 10, 0, 1),
-	}, nil)
-	if !ok.CanReset() {
-		t.Fatal("all-resettable merge must report CanReset")
-	}
-	ok.Reset() // must not panic
-
-	bad := NewIncrementalMerge([]Stream{
-		newSliceStream([]float64{1.0}, 0, 0, 1),
-		&nonResettableStream{inner: newSliceStream([]float64{0.5}, 10, 0, 1)},
-	}, nil)
-	if bad.CanReset() {
-		t.Fatal("merge with non-resettable input must not report CanReset")
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Reset on non-resettable merge must panic")
-		}
-		msg, isString := r.(string)
-		if !isString || !strings.Contains(msg, "input 1") || !strings.Contains(msg, "Resettable") {
-			t.Fatalf("panic message not diagnostic: %v", r)
-		}
-	}()
-	bad.Reset()
 }
 
 func TestIncrementalMergeRandomisedOrderInvariant(t *testing.T) {

@@ -12,9 +12,11 @@ package operators
 //
 // The inner stream must be self-contained after construction (all leg
 // streams — scans, merges, answer scans — are): it is consumed exclusively
-// by the background goroutine. Entries stay valid because leg streams only
-// recycle bindings on Reset, which the prefetched pipeline never calls.
-// Prefetch is deliberately not Resettable.
+// by the background goroutine, which therefore also owns its release — when
+// the goroutine exits, drained or stopped, it returns the leg's join and
+// dedup state to the pools (see Release), so a stopped leg is never recycled
+// while it is still being pulled. Entries stay valid after that: bindings
+// live in arenas, which are never recycled.
 type Prefetch struct {
 	ch    chan prefetched
 	top   float64
@@ -52,6 +54,7 @@ func NewPrefetch(s Stream, depth int, stop <-chan struct{}) *Prefetch {
 	p.bound = s.Bound()
 	go func() {
 		defer close(p.ch)
+		defer Release(s)
 		for {
 			e, ok := s.Next()
 			item := prefetched{e: e, bound: s.Bound(), ok: ok}

@@ -17,9 +17,12 @@ import (
 // allows (Ilyas et al.). Hash tables on the join key hold the entries seen so
 // far; a priority queue buffers join results until they are provably final.
 // All per-entry bookkeeping is integer-keyed: join keys and emitted-binding
-// keys are packed kg.BindingKeys, merged bindings come from a slab arena, and
-// the result queue is a hand-rolled heap — so the join itself allocates only
-// for table/queue growth, never per probe.
+// keys are packed kg.BindingKeys held in open-addressed tables (table.go),
+// merged bindings come from a slab arena, and the result queue is a
+// hand-rolled heap. Tables and queue grow through capacity-class pools and
+// go back to them on Release, so on a warm engine the join allocates only
+// arena slabs for the bindings it merges and, for bindings wider than two
+// variables, the keyers' interned tuples — never per probe.
 type RankJoin struct {
 	left, right Stream
 	joinVars    []int // variable indexes bound on both sides
@@ -31,9 +34,9 @@ type RankJoin struct {
 	joinKeyer         *kg.Keyer
 	emitKeyer         *kg.Keyer
 	arena             bindingArena
-	leftTab, rightTab map[kg.BindingKey][]Entry
-	queue             []Entry
-	emitted           map[kg.BindingKey]bool
+	leftTab, rightTab joinTable
+	queue             *[]Entry // pooled heap; nil until the first join result
+	emitted           keySet
 	leftDone          bool
 	rightDone         bool
 	pullLeft          bool // alternation state
@@ -56,9 +59,6 @@ func NewRankJoin(left, right Stream, joinVars []int, c *Counter) *RankJoin {
 		counter:   c,
 		joinKeyer: kg.NewProjKeyer(joinVars),
 		emitKeyer: kg.NewKeyer(),
-		leftTab:   make(map[kg.BindingKey][]Entry),
-		rightTab:  make(map[kg.BindingKey][]Entry),
-		emitted:   make(map[kg.BindingKey]bool),
 	}
 	if c.Tracing() {
 		rj.stats = trace.NewNode("RankJoin")
@@ -125,8 +125,8 @@ func (rj *RankJoin) TopScore() float64 {
 func (rj *RankJoin) Bound() float64 {
 	rj.prime()
 	t := rj.threshold()
-	if len(rj.queue) > 0 && rj.queue[0].Score > t {
-		t = rj.queue[0].Score
+	if q := rj.queued(); len(q) > 0 && q[0].Score > t {
+		t = q[0].Score
 	}
 	if t > rj.last {
 		t = rj.last
@@ -172,9 +172,11 @@ func (rj *RankJoin) pullOne() bool {
 			return !rj.rightDone
 		}
 		key := rj.joinKeyer.Key(e.Binding)
-		rj.leftTab[key] = append(rj.leftTab[key], e)
-		for _, o := range rj.rightTab[key] {
-			rj.enqueue(e, o)
+		rj.leftTab.add(key, e)
+		for i := rj.rightTab.first(key); i != 0; {
+			n := rj.rightTab.node(i)
+			rj.enqueue(e, n.e)
+			i = n.next
 		}
 	} else {
 		e, ok := rj.right.Next()
@@ -183,9 +185,11 @@ func (rj *RankJoin) pullOne() bool {
 			return !rj.leftDone
 		}
 		key := rj.joinKeyer.Key(e.Binding)
-		rj.rightTab[key] = append(rj.rightTab[key], e)
-		for _, o := range rj.leftTab[key] {
-			rj.enqueue(o, e)
+		rj.rightTab.add(key, e)
+		for i := rj.leftTab.first(key); i != 0; {
+			n := rj.leftTab.node(i)
+			rj.enqueue(n.e, e)
+			i = n.next
 		}
 	}
 	return true
@@ -202,7 +206,21 @@ func (rj *RankJoin) enqueue(l, r Entry) {
 	}
 	rj.counter.Inc()
 	rj.stats.Created()
-	heapPush(&rj.queue, joined)
+	switch {
+	case rj.queue == nil:
+		rj.queue = entrySlabs.get(minSlots)
+	case len(*rj.queue) == cap(*rj.queue):
+		rj.queue = entrySlabs.grow(rj.queue)
+	}
+	heapPush(rj.queue, joined)
+}
+
+// queued returns the result heap (empty before the first join result).
+func (rj *RankJoin) queued() []Entry {
+	if rj.queue == nil {
+		return nil
+	}
+	return *rj.queue
 }
 
 // Next implements Stream.
@@ -228,14 +246,13 @@ func (rj *RankJoin) Next() (Entry, bool) {
 				return Entry{}, false
 			}
 		}
-		if t := rj.threshold(); len(rj.queue) > 0 && rj.queue[0].Score >= t-1e-12 {
-			e := heapPop(&rj.queue)
-			key := rj.emitKeyer.Key(e.Binding)
-			if rj.emitted[key] {
+		t := rj.threshold()
+		if q := rj.queued(); len(q) > 0 && q[0].Score >= t-1e-12 {
+			e := heapPop(rj.queue)
+			if !rj.emitted.add(rj.emitKeyer.Key(e.Binding)) {
 				rj.stats.DedupDrop()
 				continue
 			}
-			rj.emitted[key] = true
 			rj.last = e.Score
 			rj.cert = t
 			if rj.stats != nil {
@@ -251,14 +268,12 @@ func (rj *RankJoin) Next() (Entry, bool) {
 			// Inputs exhausted: flush the queue. The corner bound over unseen
 			// results has collapsed (no unseen inputs remain), so every flushed
 			// entry certifies at zero.
-			for len(rj.queue) > 0 {
-				e := heapPop(&rj.queue)
-				key := rj.emitKeyer.Key(e.Binding)
-				if rj.emitted[key] {
+			for len(rj.queued()) > 0 {
+				e := heapPop(rj.queue)
+				if !rj.emitted.add(rj.emitKeyer.Key(e.Binding)) {
 					rj.stats.DedupDrop()
 					continue
 				}
-				rj.emitted[key] = true
 				rj.last = e.Score
 				rj.cert = 0
 				if rj.stats != nil {

@@ -12,7 +12,7 @@ import (
 // and tagged with the relaxed-pattern bit. It deduplicates bindings when —
 // and only when — duplicates are possible (two identical triples with
 // different raw scores keep the higher, which comes first in the sorted
-// list); patterns that provably cannot repeat a binding skip the dedup map
+// list); patterns that provably cannot repeat a binding skip the dedup set
 // entirely.
 //
 // The scan binds each candidate triple into a reusable scratch binding and
@@ -43,9 +43,11 @@ type ListScan struct {
 	// seen is nil when the pattern provably cannot produce duplicate
 	// bindings: the store holds no duplicate (s,p,o) triples and every
 	// position is a constant or a variable of the query's variable set (so
-	// any two distinct triples differ in some captured position).
-	seen  map[kg.BindingKey]bool
-	keyer *kg.Keyer
+	// any two distinct triples differ in some captured position). Otherwise
+	// it points at seenSet.
+	seen    *keySet
+	seenSet keySet
+	keyer   *kg.Keyer
 
 	last float64
 	top  float64
@@ -127,7 +129,7 @@ func newListScanOver(store kg.Graph, vs *kg.VarSet, p kg.Pattern, weight float64
 		}
 	}
 	if dedup {
-		s.seen = make(map[kg.BindingKey]bool)
+		s.seen = &s.seenSet
 		// Key only the slots this pattern binds — every other position is
 		// NoID in all of the scan's bindings — so patterns of ≤2 variables
 		// stay on the packed, allocation-free path.
@@ -191,13 +193,9 @@ func (s *ListScan) Next() (Entry, bool) {
 		if !s.bind(t) {
 			continue
 		}
-		if s.seen != nil {
-			key := s.keyer.Key(s.scratch)
-			if s.seen[key] {
-				s.stats.DedupDrop()
-				continue
-			}
-			s.seen[key] = true
+		if s.seen != nil && !s.seen.add(s.keyer.Key(s.scratch)) {
+			s.stats.DedupDrop()
+			continue
 		}
 		score := 0.0
 		if s.max > 0 {
@@ -215,16 +213,4 @@ func (s *ListScan) Next() (Entry, bool) {
 	}
 	s.last = 0
 	return Entry{}, false
-}
-
-// Reset implements Resettable. It invalidates entries previously returned by
-// Next: their bindings are reused by the next pass over the list.
-func (s *ListScan) Reset() {
-	s.pos = 0
-	s.last = s.top
-	s.arena.reset()
-	if s.seen != nil {
-		clear(s.seen)
-		s.keyer.Reset()
-	}
 }

@@ -95,23 +95,6 @@ func TestListScanBounds(t *testing.T) {
 	}
 }
 
-func TestListScanReset(t *testing.T) {
-	st, pa, _ := scanStore(t)
-	vs := kg.NewVarSet(kg.NewQuery(pa))
-	s := NewListScan(st, vs, pa, 1, 0, nil)
-	first := Drain(s)
-	s.Reset()
-	second := Drain(s)
-	if len(first) != len(second) {
-		t.Fatalf("reset changed entry count: %d vs %d", len(first), len(second))
-	}
-	for i := range first {
-		if first[i].Score != second[i].Score {
-			t.Fatal("reset changed scores")
-		}
-	}
-}
-
 func TestListScanEmptyPattern(t *testing.T) {
 	st, pa, _ := scanStore(t)
 	missing := kg.NewPattern(pa.S, pa.P, kg.Const(kg.ID(999999)))

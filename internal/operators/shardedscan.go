@@ -29,7 +29,7 @@ type ShardedListScan struct {
 
 	// seen dedups across shards; nil unless the pattern's subject is an
 	// out-of-varset variable (see type comment).
-	seen  map[kg.BindingKey]bool
+	seen  *keySet
 	keyer *kg.Keyer
 
 	top    float64
@@ -127,7 +127,7 @@ func NewShardedListScan(ss kg.ShardedGraph, vs *kg.VarSet, p kg.Pattern, weight 
 		// in several shards; keep the globally-first occurrence, as the
 		// unsharded scan does. Every sub-scan compiled the same pattern, so
 		// its touched set is exactly the projection the merge must key.
-		s.seen = make(map[kg.BindingKey]bool)
+		s.seen = new(keySet)
 		s.keyer = kg.NewProjKeyer(s.subs[0].touched)
 	}
 	s.heads = make([]shardHead, 0, len(s.subs))
@@ -187,13 +187,9 @@ func (s *ShardedListScan) Next() (Entry, bool) {
 		} else {
 			heapPop(&s.heads)
 		}
-		if s.seen != nil {
-			key := s.keyer.Key(h.entry.Binding)
-			if s.seen[key] {
-				s.stats.DedupDrop()
-				continue
-			}
-			s.seen[key] = true
+		if s.seen != nil && !s.seen.add(s.keyer.Key(h.entry.Binding)) {
+			s.stats.DedupDrop()
+			continue
 		}
 		s.last = h.entry.Score
 		s.counter.Inc()
@@ -205,21 +201,6 @@ func (s *ShardedListScan) Next() (Entry, bool) {
 	}
 	s.last = 0
 	return Entry{}, false
-}
-
-// Reset implements Resettable. Like ListScan.Reset it invalidates previously
-// returned entries: the sub-scans' arenas are reused by the next pass.
-func (s *ShardedListScan) Reset() {
-	for _, sub := range s.subs {
-		sub.Reset()
-	}
-	s.heads = s.heads[:0]
-	s.primed = false
-	s.last = s.top
-	if s.seen != nil {
-		clear(s.seen)
-		s.keyer.Reset()
-	}
 }
 
 // NewPatternScan builds the appropriate scan for the store layout: a merged

@@ -200,27 +200,9 @@ func nextAfterDown(x float64) float64 {
 	return math.Nextafter(x, 0)
 }
 
-// TestShardedListScanReset pins Resettable behaviour: a reset merged scan
-// replays the identical sequence, allocation-free in steady state.
-func TestShardedListScanReset(t *testing.T) {
-	st := randomOpStore(t, 44, 300)
-	ss := kg.NewShardedStoreFrom(st, 4)
-	q := kg.NewQuery(kg.NewPattern(kg.Var("x"), kg.Var("p"), kg.Var("y")))
-	vs := kg.NewVarSet(q)
-	pat := kg.NewPattern(kg.Var("free_subj"), kg.Const(kg.ID(9)), kg.Var("y"))
-	s := NewShardedListScan(ss, vs, pat, 1, 0, nil)
-	first := observe(s)
-	s.Reset()
-	second := observe(s)
-	compareObservations(t, "replay", second, first)
-	if len(first.entries) == 0 {
-		t.Fatal("pattern matched nothing; test is vacuous")
-	}
-}
-
 // TestShardedListScanSteadyAllocs extends the zero-alloc guarantee to the
 // sharded scan: after the first drain sizes sub-scan arenas and the merge
-// heap, reset+drain cycles allocate nothing.
+// heap, rescan+drain cycles allocate nothing.
 func TestShardedListScanSteadyAllocs(t *testing.T) {
 	st := randomOpStore(t, 9, 400)
 	ss := kg.NewShardedStoreFrom(st, 4)
@@ -234,7 +216,7 @@ func TestShardedListScanSteadyAllocs(t *testing.T) {
 		}
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		s.Reset()
+		rescanSharded(s)
 		for {
 			if _, ok := s.Next(); !ok {
 				return

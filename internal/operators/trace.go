@@ -43,17 +43,6 @@ func TraceTree(s Stream) *trace.Node {
 			}
 		}
 		return n
-	case *NRJN:
-		n := v.stats
-		if n != nil && n.Children == nil {
-			if c := TraceTree(v.outer); c != nil {
-				n.Children = append(n.Children, c)
-			}
-			if c := TraceTree(v.inner); c != nil {
-				n.Children = append(n.Children, c)
-			}
-		}
-		return n
 	case *Prefetch:
 		inner := TraceTree(v.inner)
 		if inner == nil {
@@ -88,8 +77,6 @@ func nodeOf(s Stream) *trace.Node {
 	case *IncrementalMerge:
 		return v.stats
 	case *RankJoin:
-		return v.stats
-	case *NRJN:
 		return v.stats
 	}
 	return nil

@@ -106,7 +106,7 @@ func TestTraceDisabledZeroAllocs(t *testing.T) {
 		}
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		s.Reset()
+		rescan(s)
 		for {
 			if _, ok := s.Next(); !ok {
 				return

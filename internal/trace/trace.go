@@ -39,7 +39,7 @@ const maxTrajectory = 32
 // executing goroutine and read by the trace consumer, hence atomic.
 type Node struct {
 	// Op names the operator (ListScan, ShardedListScan, IncrementalMerge,
-	// RankJoin, NRJN, AnswerScan, Prefetch).
+	// RankJoin, AnswerScan, Prefetch).
 	Op string
 	// Detail renders the operator's pattern or configuration (e.g. the triple
 	// pattern a scan covers, with its relaxation weight).
@@ -57,7 +57,6 @@ type Node struct {
 	created    atomic.Int64 // answer objects created (join results enqueued)
 	dedup      atomic.Int64 // entries suppressed by duplicate elimination
 	abortPolls atomic.Int64 // cancellation-hook polls (AbortStride boundaries)
-	rescans    atomic.Int64 // inner-input restarts (NRJN)
 	arenaBytes atomic.Int64 // slab-arena bytes backing emitted bindings
 
 	mu        sync.Mutex
@@ -106,13 +105,6 @@ func (n *Node) DedupDrop() {
 func (n *Node) AbortPoll() {
 	if n != nil {
 		n.abortPolls.Add(1)
-	}
-}
-
-// Rescan records one inner-input restart.
-func (n *Node) Rescan() {
-	if n != nil {
-		n.rescans.Add(1)
 	}
 }
 
@@ -176,7 +168,6 @@ type NodeStats struct {
 	Created         int64        `json:"created,omitempty"`
 	DedupDropped    int64        `json:"dedup_dropped,omitempty"`
 	AbortPolls      int64        `json:"abort_polls,omitempty"`
-	Rescans         int64        `json:"rescans,omitempty"`
 	ArenaBytes      int64        `json:"arena_bytes,omitempty"`
 	TopScore        float64      `json:"top_score,omitempty"`
 	FinalBound      *float64     `json:"final_bound,omitempty"`
@@ -200,7 +191,6 @@ func (n *Node) Snapshot() *NodeStats {
 		Created:      n.created.Load(),
 		DedupDropped: n.dedup.Load(),
 		AbortPolls:   n.abortPolls.Load(),
-		Rescans:      n.rescans.Load(),
 		ArenaBytes:   n.arenaBytes.Load(),
 	}
 	n.mu.Lock()
@@ -245,7 +235,6 @@ func (n *Node) restore(s *NodeStats) {
 	n.created.Store(s.Created)
 	n.dedup.Store(s.DedupDropped)
 	n.abortPolls.Store(s.AbortPolls)
-	n.rescans.Store(s.Rescans)
 	n.arenaBytes.Store(s.ArenaBytes)
 	n.mu.Lock()
 	n.topScore = s.TopScore
@@ -349,7 +338,6 @@ func renderNode(b *strings.Builder, n *NodeStats, prefix string, last bool) {
 		{"created", n.Created},
 		{"dedup_dropped", n.DedupDropped},
 		{"abort_polls", n.AbortPolls},
-		{"rescans", n.Rescans},
 		{"arena_bytes", n.ArenaBytes},
 	} {
 		if f.v != 0 {

@@ -38,16 +38,16 @@ func TestRenderGolden(t *testing.T) {
 	join.Children = []*Node{scan1, scan2}
 
 	tr := &Trace{
-		Mode:         "spec-qp",
-		K:            3,
-		PlanCached:   true,
-		PlanCacheHit: true,
-		Relaxations:  2,
-		PlanUS:       12,
-		ExecUS:       340,
-		Answers:      1,
+		Mode:          "spec-qp",
+		K:             3,
+		PlanCached:    true,
+		PlanCacheHit:  true,
+		Relaxations:   2,
+		PlanUS:        12,
+		ExecUS:        340,
+		Answers:       1,
 		MemoryObjects: 4,
-		Root:         join,
+		Root:          join,
 	}
 
 	want := strings.Join([]string{
@@ -87,7 +87,6 @@ func TestNilNodeSafety(t *testing.T) {
 	n.Created()
 	n.DedupDrop()
 	n.AbortPoll()
-	n.Rescan()
 	n.SetArenaBytes(42)
 	n.SetTop(1.5)
 	n.SampleBound(0.5)

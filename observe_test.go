@@ -162,9 +162,8 @@ func TestEngineStatsLifecycle(t *testing.T) {
 		t.Fatalf("compaction not counted: %+v", s2)
 	}
 
-	// Two identical spec-qp queries through the cache-using traced path: one
-	// plan-cache miss then one hit. (QueryContext plans afresh per call and
-	// never consults the cache.)
+	// Two identical spec-qp queries through the plan cache: one plan-cache
+	// miss then one hit.
 	if _, err := eng.QueryTraced(context.Background(), q, 3, ModeSpecQP); err != nil {
 		t.Fatal(err)
 	}

@@ -202,8 +202,9 @@ type Options struct {
 	NaiveLimit int
 	// BatchWorkers bounds QueryBatch's worker pool (0 = GOMAXPROCS).
 	BatchWorkers int
-	// PlanCacheSize is the capacity of the LRU plan cache QueryBatch uses
-	// for ModeSpecQP, keyed by query shape (0 = planner.DefaultPlanCacheSize).
+	// PlanCacheSize is the capacity of the LRU plan cache every ModeSpecQP
+	// query plans through, keyed by query shape (0 =
+	// planner.DefaultPlanCacheSize).
 	PlanCacheSize int
 	// Shards selects the storage layout the engine queries. 0 or 1 keeps
 	// today's flat layout. A value > 1 repartitions the store into that many
@@ -266,7 +267,7 @@ const ShardsAuto = -1
 // concurrent queries once the store is frozen — and for concurrent Insert
 // calls interleaved with queries: live inserts land in per-segment mutable
 // heads, the statistics catalog invalidates itself against the store's
-// content version, and the batch plan cache is flushed on version changes.
+// content version, and the plan cache is flushed on version changes.
 type Engine struct {
 	store   *Store
 	graph   kg.Graph
@@ -276,7 +277,7 @@ type Engine struct {
 	plans   *planner.PlanCache
 	exec    *exec.Executor
 	opts    Options
-	// planVersion is the graph content version the batch plan cache was last
+	// planVersion is the graph content version the plan cache was last
 	// validated against (see livePlans).
 	planVersion atomic.Uint64
 	// wal is the durability layer; nil on non-durable engines. Set only by
@@ -439,7 +440,7 @@ func (e *Engine) Query(q Query, k int, mode Mode) (Result, error) {
 	}
 	switch mode {
 	case ModeSpecQP:
-		return e.exec.SpecQP(e.planner, q, k), nil
+		return e.exec.SpecQP(e.livePlans(), q, k), nil
 	case ModeTriniT:
 		return e.exec.TriniT(q, k), nil
 	case ModeNaive:
@@ -464,7 +465,7 @@ func (e *Engine) QueryContext(ctx context.Context, q Query, k int, mode Mode) (R
 	}
 	switch mode {
 	case ModeSpecQP:
-		return e.exec.SpecQPContext(ctx, e.planner, q, k)
+		return e.exec.SpecQPContext(ctx, e.livePlans(), q, k)
 	case ModeTriniT:
 		return e.exec.TriniTContext(ctx, q, k)
 	case ModeNaive:
@@ -504,7 +505,7 @@ func (e *Engine) QueryStream(ctx context.Context, q Query, k int, mode Mode, emi
 	}
 	switch mode {
 	case ModeSpecQP:
-		return e.exec.SpecQPContextStream(ctx, e.planner, q, k, emit)
+		return e.exec.SpecQPContextStream(ctx, e.livePlans(), q, k, emit)
 	case ModeTriniT:
 		return e.exec.TriniTContextStream(ctx, q, k, emit)
 	case ModeExact:
@@ -535,12 +536,10 @@ func (e *Engine) QueryStream(ctx context.Context, q Query, k int, mode Mode, emi
 // recorded, never what is computed: answers are bit-identical to
 // QueryContext's (the oracle tests pin this down).
 //
-// ModeSpecQP plans through the engine's shape-keyed plan cache so the trace
-// reflects production cache behaviour; Query/QueryContext plan afresh each
-// call, so a traced run may observe a cached plan where an untraced one
-// re-planned — the plans are identical either way (materialised from the
-// same shape). ModeNaive has no operator tree; its trace carries only the
-// header fields.
+// ModeSpecQP plans through the engine's shape-keyed plan cache, like every
+// other ModeSpecQP entry point, and the trace records whether the plan was a
+// hit. ModeNaive has no operator tree; its trace carries only the header
+// fields.
 func (e *Engine) QueryTraced(ctx context.Context, q Query, k int, mode Mode) (Result, error) {
 	if k < 1 {
 		return Result{}, fmt.Errorf("specqp: k must be >= 1, got %d", k)
@@ -725,7 +724,7 @@ func (e *Engine) Compact() error {
 	return e.Checkpoint()
 }
 
-// livePlans returns the batch plan cache, flushed when the store's content
+// livePlans returns the plan cache, flushed when the store's content
 // version moved since the last use: cached plans embed cardinalities and
 // score distributions that are stale after a live insert. planVersion only
 // advances (CAS), so a goroutine carrying a stale version read cannot
